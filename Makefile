@@ -94,12 +94,14 @@ test-plan:
 		./internal/core/ ./internal/rules/ ./internal/engine/ ./cmd/bigdansing/ ./internal/serve/
 	$(GO) test -race -run 'Plan|Cost|Feedback|Broadcast' ./internal/core/ ./internal/serve/
 
-# 30 seconds of coverage-guided fuzzing per wire-codec fuzzer, seeded from
-# testdata/fuzz corpora. A finding is checked in as a new corpus file.
+# 30 seconds of coverage-guided fuzzing per fuzzer — the wire codec and the
+# FD block kernel against its pairwise loop — seeded from testdata/fuzz
+# corpora. A finding is checked in as a new corpus file.
 fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/netexec/
 	$(GO) test -run xxx -fuzz FuzzFrameRoundTrip -fuzztime 30s ./internal/netexec/
 	$(GO) test -run xxx -fuzz FuzzSplitRecords -fuzztime 30s ./internal/netexec/
+	$(GO) test -run xxx -fuzz FuzzFDDetectBlock -fuzztime 30s ./internal/rules/
 
 # deprecations fails when code references the deprecated engine.Stats
 # getters (use Stats().Snapshot() fields instead). Allowed: the getters

@@ -105,7 +105,10 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-input and -schema are required")
 	}
 
-	sch := model.MustParseSchema(*schema)
+	sch, err := model.ParseSchema(*schema)
+	if err != nil {
+		return fmt.Errorf("-schema: %w", err)
+	}
 	rel, err := model.ReadCSVFile(*input, "input", sch, *header)
 	if err != nil {
 		return err

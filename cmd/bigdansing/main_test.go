@@ -142,6 +142,19 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
+// TestSchemaFlagRejectsJunk: a malformed -schema is an error return, not
+// a panic out of the schema parser.
+func TestSchemaFlagRejectsJunk(t *testing.T) {
+	input := writeTaxCSV(t)
+	for _, spec := range []string{"a:bogus", "a,A", "a,:int", " , "} {
+		var out bytes.Buffer
+		err := run([]string{"-input", input, "-schema", spec, "-fd", "a -> b"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "-schema") {
+			t.Errorf("-schema %q: err = %v, want a -schema error", spec, err)
+		}
+	}
+}
+
 func TestExplainMode(t *testing.T) {
 	input := writeTaxCSV(t)
 	var out bytes.Buffer

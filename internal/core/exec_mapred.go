@@ -82,6 +82,7 @@ func runPipelineMR(eng *mapred.Engine, pp *PhysicalPlan, p *PhysicalPipeline, nS
 	}
 
 	detect, genfix, iterate := p.Detect, p.GenFix, p.Iterate
+	kernel := blockKernel(p)
 	impl := p.Impl
 	nBranches := len(p.Branches)
 	reduceFn := func(key string, values [][]byte, emit func([]byte)) {
@@ -93,6 +94,19 @@ func runPipelineMR(eng *mapred.Engine, pp *PhysicalPlan, p *PhysicalPipeline, nS
 				panic(fmt.Sprintf("decode shuffled tuple: %v", err))
 			}
 			bags[tag] = append(bags[tag], t)
+		}
+		emitAll := func(vs []model.Violation) {
+			for _, v := range vs {
+				fs := model.FixSet{Violation: v}
+				if genfix != nil {
+					fs.Fixes = genfix(v)
+				}
+				emit(model.EncodeFixSet(fs))
+			}
+		}
+		if kernel != nil {
+			emitAll(kernel(bags[0], impl == IterOrderedPairs))
+			return
 		}
 		var items []Item
 		switch impl {
@@ -108,13 +122,7 @@ func runPipelineMR(eng *mapred.Engine, pp *PhysicalPlan, p *PhysicalPipeline, nS
 			items = iterate(bags)
 		}
 		for _, it := range items {
-			for _, v := range detect(it) {
-				fs := model.FixSet{Violation: v}
-				if genfix != nil {
-					fs.Fixes = genfix(v)
-				}
-				emit(model.EncodeFixSet(fs))
-			}
+			emitAll(detect(it))
 		}
 	}
 

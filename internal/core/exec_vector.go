@@ -15,11 +15,10 @@ import (
 // operator forms (VecForms), the Scope→Detect chain runs over model.Batch
 // column vectors — the Scope kernel flips selection bits on flat []Value
 // slices, blocked rules materialize tuples only at the shuffle boundary,
-// and the per-block Detect kernel gathers its comparison columns once per
-// block instead of allocating an Item per candidate pair. Everything
-// downstream (violation dedup, GenFix, collection) is shared with the
-// tuple path, and pipelines the vectorized executor does not support fall
-// back to it transparently.
+// and the per-block Detect kernel (which the tuple path runs too, see
+// blockKernel) judges each grouped block. Everything downstream (violation
+// dedup, GenFix, collection) is shared with the tuple path, and pipelines
+// the vectorized executor does not support fall back to it transparently.
 
 // vecEligible reports whether a pipeline can run on the batch path: a
 // batch size is configured, vectorized forms exist, and the pipeline is a
@@ -38,14 +37,10 @@ func (ex *sparkExec) vecEligible(p *PhysicalPipeline) bool {
 	if len(b.Scopes) > 1 || (len(b.Scopes) == 1 && p.Vec.Scope == nil) {
 		return false
 	}
-	switch p.Impl {
-	case IterSingles:
+	if p.Impl == IterSingles {
 		return p.Vec.DetectBatch != nil
-	case IterUniquePairs, IterOrderedPairs:
-		return b.Block != nil && p.Vec.DetectBlock != nil
-	default:
-		return false
 	}
+	return blockKernel(p) != nil
 }
 
 // batchKey identifies one chunked materialization of a relation: cols is the

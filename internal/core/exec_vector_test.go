@@ -163,11 +163,20 @@ func requireSameResult(t *testing.T, want, got *DetectResult, label string) {
 	}
 }
 
+// perPair returns a copy of r without vectorized forms, so every executor
+// runs its tuple Detect once per candidate Item — the per-pair reference
+// the block kernels are held to.
+func perPair(r *Rule) *Rule {
+	c := *r
+	c.Vec = nil
+	return &c
+}
+
 func TestVecPipelineEquivalence(t *testing.T) {
 	rel := vecTaxData(500, 7)
 	for _, rule := range []*Rule{vecScopedFDRule(), vecUnaryRule()} {
 		tupleCtx := engine.New(4)
-		want, err := DetectRule(tupleCtx, rule, rel)
+		want, err := DetectRule(tupleCtx, perPair(rule), rel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,6 +191,34 @@ func TestVecPipelineEquivalence(t *testing.T) {
 			}
 			requireSameResult(t, want, got, fmt.Sprintf("%s batch=%d", rule.ID, size))
 		}
+	}
+}
+
+// TestVecFeedbackPairsMatchTuplePath: the block kernel reports the pairs
+// it stands for, n(n-1)/2 per block, so a FeedbackRecorder measures the
+// same pair count after a batch run, a kernel-backed tuple run and a
+// per-pair run that builds one Item per candidate.
+func TestVecFeedbackPairsMatchTuplePath(t *testing.T) {
+	rel := vecTaxData(400, 9)
+	measure := func(r *Rule, batch int) int64 {
+		t.Helper()
+		rec := NewFeedbackRecorder()
+		ctx := engine.NewWithConfig(engine.Config{Parallelism: 4, BatchSize: batch, Observer: rec})
+		if _, err := DetectRule(ctx, r, rel); err != nil {
+			t.Fatal(err)
+		}
+		return rec.PlanFeedback().Pipelines[r.ID].Pairs
+	}
+	rule := vecScopedFDRule()
+	want := measure(perPair(rule), 0)
+	if want <= 0 {
+		t.Fatalf("per-pair run measured %d pairs", want)
+	}
+	if got := measure(rule, 0); got != want {
+		t.Errorf("tuple-path kernel measured %d pairs, per-pair run %d", got, want)
+	}
+	if got := measure(rule, 16); got != want {
+		t.Errorf("batch run measured %d pairs, per-pair run %d", got, want)
 	}
 }
 

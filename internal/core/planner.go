@@ -369,9 +369,6 @@ func (pl *Planner) planPipeline(lp *LogicalPlan, p Pipeline, fb *Feedback) (Phys
 		phys.Branches = branches
 		phys.Vec = nil // the vectorized forms are keyed to the primary Block
 	}
-	if chosen.Broadcast {
-		phys.Vec = nil // the vectorized executor has no broadcast path
-	}
 	return phys, nil
 }
 

@@ -12,10 +12,10 @@ import "bigdansing/internal/model"
 // Every form is optional and every form must be observationally identical
 // to its tuple counterpart — the same violations emitted in the same order
 // — because equivalence (identical violations, hence identical repairs) is
-// the contract the batch path is tested against. A pipeline whose shape the
+// the contract every path is tested against. A pipeline whose shape the
 // vectorized executor does not support (CoBlock, OCJoin, custom Iterate,
 // derived streams, multi-branch) silently runs on the tuple path even when
-// forms are present.
+// forms are present; DetectBlock alone is used on every path.
 type VecForms struct {
 	// Scope is the vectorized Scope kernel: it narrows a batch by flipping
 	// selection bits (on a private CloneSel copy — the input batch may be
@@ -48,10 +48,39 @@ type VecForms struct {
 	// order (the order the tuple path's Singles enumeration produces).
 	DetectBatch func(*model.Batch) []model.Violation
 
-	// DetectBlock is the vectorized Detect over one block of a pair rule:
-	// it receives the block's tuples in grouping order, gathers the columns
-	// it compares into flat vectors once, and enumerates pairs exactly like
-	// the tuple path — PairsUnique order (i<j) when ordered is false,
-	// PairsOrdered order (all i≠j, outer i, inner j) when true.
+	// DetectBlock is the Detect kernel over one block of a pair rule. Every
+	// executor calls it once per block of a blocked single-branch pair
+	// pipeline (planner-chosen unique or ordered pairs) instead of building
+	// a candidate Item per pair: the tuple and vectorized dataflow paths,
+	// the broadcast variant and the MapReduce reducer. It receives the
+	// block's tuples in grouping order and must emit exactly what the tuple
+	// Detect emits over the pairs in PairsUnique order (i<j) when ordered is
+	// false, PairsOrdered order (all i≠j, outer i, inner j) when true. It
+	// is free to skip pairs it can prove clean without visiting them.
 	DetectBlock func(us []model.Tuple, ordered bool) []model.Violation
+}
+
+// blockKernel returns the Detect kernel a pipeline runs once per block: the
+// rule's DetectBlock when the pipeline is a blocked single-branch unique or
+// ordered pair enumeration, nil otherwise (Items are built only then).
+func blockKernel(p *PhysicalPipeline) func([]model.Tuple, bool) []model.Violation {
+	if p.Vec == nil || len(p.Branches) != 1 || p.Branches[0].Block == nil {
+		return nil
+	}
+	switch p.Impl {
+	case IterUniquePairs, IterOrderedPairs:
+		return p.Vec.DetectBlock
+	default:
+		return nil
+	}
+}
+
+// blockPairs is the number of candidate pairs a block of n units stands
+// for: n(n-1)/2 unique pairs, or n(n-1) ordered ones.
+func blockPairs(n int, ordered bool) int64 {
+	pairs := int64(n) * int64(n-1)
+	if !ordered {
+		pairs /= 2
+	}
+	return pairs
 }

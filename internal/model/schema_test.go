@@ -78,3 +78,15 @@ func TestUnknownKindPanics(t *testing.T) {
 	}()
 	MustParseSchema("a:decimal128")
 }
+
+func TestParseSchemaErrors(t *testing.T) {
+	for _, spec := range []string{"", " , ", "a:decimal128", "a,b,A", "a,:int"} {
+		if s, err := ParseSchema(spec); err == nil {
+			t.Errorf("ParseSchema(%q) = %s, want an error", spec, s)
+		}
+	}
+	s, err := ParseSchema(" a:int , b ")
+	if err != nil || s.Len() != 2 || s.Name(0) != "a" || s.Attr(0).Kind != KindInt {
+		t.Errorf("ParseSchema trimmed spec = %v, %v", s, err)
+	}
+}

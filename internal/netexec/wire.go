@@ -193,7 +193,9 @@ func splitRecords(payload []byte, copyOut bool) ([][]byte, error) {
 	var out [][]byte
 	for len(payload) > 0 {
 		n, sz := binary.Uvarint(payload)
-		if sz <= 0 {
+		// A multi-byte length ending in a zero byte is a non-minimal
+		// encoding appendRecord never writes.
+		if sz <= 0 || (sz > 1 && payload[sz-1] == 0) {
 			return nil, fmt.Errorf("netexec: corrupt record length")
 		}
 		if n > uint64(len(payload)-sz) {

@@ -9,7 +9,9 @@ package rules
 
 import (
 	"fmt"
+	"math"
 	"strings"
+	"sync"
 
 	"bigdansing/internal/core"
 	"bigdansing/internal/model"
@@ -140,89 +142,207 @@ func (fd *FD) Compile(schema *model.Schema) (*core.Rule, error) {
 	return rule, nil
 }
 
-// fdVecForms builds the FD's vectorized Detect. A single-attribute LHS
-// blocks on the LHS value itself and groups by its exact ValueKey — key
-// equality implies value equality, so every pair in the block already
-// agrees on the LHS and the kernel compares RHS cells directly with no
-// per-block allocation and no per-pair LHS check (which the tuple Detect
-// still pays). A composite LHS blocks on a joined key string that can
-// collide across kinds, so its kernel gathers the LHS and RHS columns into
-// flat vectors once per block and keeps the self-contained LHS equality
-// check. Violations and their order match the tuple Detect exactly.
+// fdVecForms builds the FD's per-block Detect kernel. Every executor runs
+// it once per block of a blocked FD pipeline — the tuple and vectorized
+// dataflow paths, the broadcast variant and the MapReduce reducer — so no
+// candidate-pair Item is built. A block whose RHS columns each hold one
+// value (the common clean block) costs one O(n) pass and no allocation.
+// Otherwise the kernel labels each tuple with its class per non-uniform
+// column: bit-identical values share a class, so −0 and +0 stay apart (they
+// render differently against strings, which MapKey would hide). Whether two
+// classes conflict is decided by Value.Equal on one representative each —
+// never by merging classes, because Equal is not transitive (NaN equals
+// every number). Pair enumeration then compares integer labels and emits
+// only the pairs whose classes conflict. A single-attribute LHS blocks on
+// the LHS value itself, so every pair in the block already agrees on it; a
+// composite LHS blocks on a joined key string that can collide across
+// kinds, so its LHS columns are labelled too and re-checked per pair.
+// Violations and their order match the per-pair Detect exactly.
 func fdVecForms(ruleID string, lhsIdx, rhsIdx []int, rhsNames []string) *core.VecForms {
-	nl, nr := len(lhsIdx), len(rhsIdx)
 	vec := &core.VecForms{BlockCol: -1}
-	if nl == 1 {
+	// cols are the columns the kernel compares: the RHS, then the LHS when
+	// it is composite.
+	cols := append([]int(nil), rhsIdx...)
+	if len(lhsIdx) == 1 {
 		vec.BlockCol = lhsIdx[0]
-	}
-	emitRHS := func(out []model.Violation, l, r model.Tuple, lv, rv model.Value, c int, y int) []model.Violation {
-		return append(out, model.NewViolation(ruleID,
-			model.NewCell(l.ID, c, rhsNames[y], lv),
-			model.NewCell(r.ID, c, rhsNames[y], rv),
-		))
+	} else {
+		cols = append(cols, lhsIdx...)
 	}
 	vec.DetectBlock = func(us []model.Tuple, ordered bool) []model.Violation {
-		n := len(us)
-		if n < 2 {
+		if len(us) < 2 || allUniform(us, rhsIdx) {
 			return nil
 		}
-		var out []model.Violation
-		var emit func(i, j int)
-		if nl == 1 {
-			emit = func(i, j int) {
-				for y, c := range rhsIdx {
-					lv, rv := us[i].Cell(c), us[j].Cell(c)
-					if !lv.Equal(rv) {
-						out = emitRHS(out, us[i], us[j], lv, rv, c, y)
-					}
-				}
-			}
-		} else {
-			buf := make([]model.Value, (nl+nr)*n) // one allocation for all vectors
-			vecs := make([][]model.Value, nl+nr)
-			for x := range vecs {
-				vecs[x] = buf[x*n : (x+1)*n]
-			}
-			for i, t := range us {
-				for x, c := range lhsIdx {
-					vecs[x][i] = t.Cell(c)
-				}
-				for y, c := range rhsIdx {
-					vecs[nl+y][i] = t.Cell(c)
-				}
-			}
-			emit = func(i, j int) {
-				for x := 0; x < nl; x++ {
-					if !vecs[x][i].Equal(vecs[x][j]) {
-						return
-					}
-				}
-				for y := 0; y < nr; y++ {
-					lv, rv := vecs[nl+y][i], vecs[nl+y][j]
-					if !lv.Equal(rv) {
-						out = emitRHS(out, us[i], us[j], lv, rv, rhsIdx[y], y)
-					}
-				}
-			}
-		}
-		if ordered {
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if j != i {
-						emit(i, j)
-					}
-				}
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					emit(i, j)
-				}
-			}
-		}
-		return out
+		s := fdScratchPool.Get().(*fdScratch)
+		defer fdScratchPool.Put(s)
+		s.label(us, cols, len(rhsIdx))
+		s.conflictingPairs(len(us), ordered)
+		return s.violations(ruleID, us, rhsIdx, rhsNames)
 	}
 	return vec
+}
+
+// fdClass is the bit identity of a cell value: the FD kernel's class key.
+type fdClass struct {
+	kind model.Kind
+	str  string
+	num  int64
+	bits uint64
+}
+
+func classOf(v model.Value) fdClass {
+	return fdClass{kind: v.Kind, str: v.Str, num: v.Int, bits: math.Float64bits(v.Flt)}
+}
+
+// allUniform reports whether every listed column holds one bit-identical
+// value across the block. Bit-identical values are always Equal, so such
+// a block has no violation on those columns.
+func allUniform(us []model.Tuple, cols []int) bool {
+	for _, c := range cols {
+		if !uniform(us, c) {
+			return false
+		}
+	}
+	return true
+}
+
+func uniform(us []model.Tuple, c int) bool {
+	first := classOf(us[0].Cell(c))
+	for _, t := range us[1:] {
+		if classOf(t.Cell(c)) != first {
+			return false
+		}
+	}
+	return true
+}
+
+// fdColumn is one non-uniform compared column of a block: each tuple's
+// class label and one representative value per class.
+type fdColumn struct {
+	// rhs is the column's RHS position (RHS columns only).
+	rhs  int
+	lab  []int32
+	reps []model.Value
+}
+
+// conflict reports whether tuples i and j disagree on the column.
+func (c *fdColumn) conflict(i, j int) bool {
+	a, b := c.lab[i], c.lab[j]
+	return a != b && !c.reps[a].Equal(c.reps[b])
+}
+
+// fdScratch is the FD kernel's reusable per-block working memory, pooled so
+// that a block with violations allocates only its output.
+type fdScratch struct {
+	ids    map[fdClass]int32
+	labels []int32
+	reps   []model.Value
+	// rhs and lhs are the block's non-uniform RHS and LHS columns, RHS in
+	// attribute order.
+	rhs, lhs []fdColumn
+	// hits holds an (i, j, rhs position) triple per violation, in emission
+	// order.
+	hits []int32
+}
+
+// maxPooledClasses bounds the class map a pooled scratch keeps.
+const maxPooledClasses = 1024
+
+var fdScratchPool = sync.Pool{New: func() any {
+	return &fdScratch{ids: make(map[fdClass]int32)}
+}}
+
+// label classifies the block's tuples on every non-uniform column of cols,
+// whose first nr entries are RHS columns.
+func (s *fdScratch) label(us []model.Tuple, cols []int, nr int) {
+	n := len(us)
+	// Size both buffers for the worst case up front so the column views
+	// taken below stay valid while later columns append.
+	if need := len(cols) * n; cap(s.labels) < need {
+		s.labels = make([]int32, 0, need)
+		s.reps = make([]model.Value, 0, need)
+	}
+	s.labels, s.reps = s.labels[:0], s.reps[:0]
+	s.rhs, s.lhs = s.rhs[:0], s.lhs[:0]
+	for x, c := range cols {
+		if uniform(us, c) {
+			continue
+		}
+		// Clearing a map costs its capacity, not its length: replace one a
+		// large block grew, so later small blocks do not pay for it.
+		if len(s.ids) > maxPooledClasses {
+			s.ids = make(map[fdClass]int32)
+		} else {
+			clear(s.ids)
+		}
+		lo, rlo := len(s.labels), len(s.reps)
+		for _, t := range us {
+			v := t.Cell(c)
+			k := classOf(v)
+			id, ok := s.ids[k]
+			if !ok {
+				id = int32(len(s.reps) - rlo)
+				s.ids[k] = id
+				s.reps = append(s.reps, v)
+			}
+			s.labels = append(s.labels, id)
+		}
+		col := fdColumn{rhs: x, lab: s.labels[lo:], reps: s.reps[rlo:]}
+		if x < nr {
+			s.rhs = append(s.rhs, col)
+		} else {
+			s.lhs = append(s.lhs, col)
+		}
+	}
+}
+
+// conflictingPairs records, in the per-pair enumeration order (i<j, or
+// every i≠j when ordered), each pair that agrees on the LHS and conflicts
+// on an RHS column.
+func (s *fdScratch) conflictingPairs(n int, ordered bool) {
+	hits := s.hits[:0]
+	for i := 0; i < n; i++ {
+		j := i + 1
+		if ordered {
+			j = 0
+		}
+	pairs:
+		for ; j < n; j++ {
+			if j == i {
+				continue
+			}
+			for x := range s.lhs {
+				if s.lhs[x].conflict(i, j) {
+					continue pairs
+				}
+			}
+			for x := range s.rhs {
+				if s.rhs[x].conflict(i, j) {
+					hits = append(hits, int32(i), int32(j), int32(s.rhs[x].rhs))
+				}
+			}
+		}
+	}
+	s.hits = hits
+}
+
+// violations materializes the recorded hits: one allocation for the
+// violations and one for all their cells.
+func (s *fdScratch) violations(ruleID string, us []model.Tuple, rhsIdx []int, rhsNames []string) []model.Violation {
+	k := len(s.hits) / 3
+	if k == 0 {
+		return nil
+	}
+	out := make([]model.Violation, k)
+	cells := make([]model.Cell, 2*k)
+	for h := range out {
+		l, r, y := us[s.hits[3*h]], us[s.hits[3*h+1]], int(s.hits[3*h+2])
+		c := rhsIdx[y]
+		cs := cells[2*h : 2*h+2 : 2*h+2]
+		cs[0] = model.NewCell(l.ID, c, rhsNames[y], l.Cell(c))
+		cs[1] = model.NewCell(r.ID, c, rhsNames[y], r.Cell(c))
+		out[h] = model.NewViolation(ruleID, cs...)
+	}
+	return out
 }
 
 // compositeKey renders a multi-attribute blocking key into one string

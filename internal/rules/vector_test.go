@@ -46,11 +46,11 @@ func vecRandomTax(n int, seed int64) *model.Relation {
 	return rel
 }
 
-// requireSameDetect asserts batch-path detection matches the tuple path
-// violation for violation, in order.
+// requireSameDetect asserts batch-path detection matches the per-pair
+// tuple path (no vectorized forms) violation for violation, in order.
 func requireSameDetect(t *testing.T, r *core.Rule, rel *model.Relation, sizes []int) {
 	t.Helper()
-	want, err := core.DetectRule(engine.New(4), r, rel)
+	want, err := core.DetectRule(engine.New(4), perPair(r), rel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -246,19 +246,6 @@ type statusJSON struct {
 
 // --- rule and schema compilation ---
 
-// parseSchema wraps the panicking parser into an error return.
-func parseSchema(spec string) (s *model.Schema, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%v", r)
-		}
-	}()
-	if spec == "" {
-		return nil, errors.New("empty schema")
-	}
-	return model.MustParseSchema(spec), nil
-}
-
 func compileRules(schema *model.Schema, specs []ruleSpec) ([]*core.Rule, error) {
 	var out []*core.Rule
 	for i, rs := range specs {
@@ -308,7 +295,7 @@ func compileRules(schema *model.Schema, specs []ruleSpec) ([]*core.Rule, error) 
 
 // open creates a named stream: its own engine context, tracer, and session.
 func (s *Server) open(name string, req createRequest) (*stream, error) {
-	schema, err := parseSchema(req.Schema)
+	schema, err := model.ParseSchema(req.Schema)
 	if err != nil {
 		return nil, fmt.Errorf("schema: %w", err)
 	}

@@ -325,6 +325,7 @@ func TestServeCreateValidation(t *testing.T) {
 
 	for name, body := range map[string]string{
 		"empty-schema": `{"schema":"","rules":[{"kind":"fd","spec":"a -> b"}]}`,
+		"bad-schema":   `{"schema":"a:bogus,b","rules":[{"kind":"fd","spec":"a -> b"}]}`,
 		"bad-kind":     `{"schema":"a,b","rules":[{"kind":"nope","spec":"a -> b"}]}`,
 		"bad-fd":       `{"schema":"a,b","rules":[{"kind":"fd","spec":"a -> missing"}]}`,
 		"no-rules":     `{"schema":"a,b","rules":[]}`,
