@@ -26,7 +26,7 @@ test:
 	$(GO) test -shuffle=on ./...
 
 race:
-	$(GO) test -race ./internal/engine/... ./internal/repair/...
+	$(GO) test -race ./internal/engine/... ./internal/repair/... ./internal/core/... ./internal/join/...
 
 # Out-of-core subsystem: the spill package plus every test exercising the
 # budgeted (spill-to-disk) regime of the engine, core e2e and the CLI flag.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"reflect"
 	"sync/atomic"
 	"time"
@@ -327,10 +329,9 @@ func (ex *sparkExec) runPipeline(pp *PhysicalPlan, p *PhysicalPipeline, out *Det
 		}
 		fixes := 0
 		for _, fs := range sets {
-			out.Violations = append(out.Violations, fs.Violation)
-			out.FixSets = append(out.FixSets, fs)
 			fixes += len(fs.Fixes)
 		}
+		out.addSets(sets)
 		finishPipelineSpan(sp, instrumented, int64(len(sets)), int64(fixes), &detectNs, &genfixNs, &pairs)
 		return nil
 	}
@@ -338,12 +339,35 @@ func (ex *sparkExec) runPipeline(pp *PhysicalPlan, p *PhysicalPipeline, out *Det
 	if err != nil {
 		return fmt.Errorf("core: detection pipeline %s failed: %w", p.RuleID, err)
 	}
-	for _, v := range vs {
-		out.Violations = append(out.Violations, v)
-		out.FixSets = append(out.FixSets, model.FixSet{Violation: v})
+	sets := make([]model.FixSet, len(vs))
+	for i, v := range vs {
+		sets[i] = model.FixSet{Violation: v}
 	}
+	out.addSets(sets)
 	finishPipelineSpan(sp, instrumented, int64(len(vs)), 0, &detectNs, &genfixNs, &pairs)
 	return nil
+}
+
+// addSets adds one pipeline's collected FixSets (and their violations) to
+// the result. The first pipeline to contribute hands its slice over as
+// FixSets, with Violations built at exact length beside it; later
+// pipelines append.
+func (r *DetectResult) addSets(sets []model.FixSet) {
+	if len(sets) == 0 {
+		return
+	}
+	if len(r.FixSets) == 0 {
+		r.FixSets = sets
+		r.Violations = make([]model.Violation, len(sets))
+		for i, fs := range sets {
+			r.Violations[i] = fs.Violation
+		}
+		return
+	}
+	for _, fs := range sets {
+		r.Violations = append(r.Violations, fs.Violation)
+		r.FixSets = append(r.FixSets, fs)
+	}
 }
 
 // finishPipelineSpan stamps a pipeline span's summary attributes. The UDF
@@ -542,23 +566,48 @@ func (ex *sparkExec) coGroupBranches(pp *PhysicalPlan, branches []Branch) (*engi
 }
 
 // dedupeResult removes duplicate violations across pipelines while keeping
-// FixSets aligned. Identity is the comparable ViolationKey, so deduping a
-// result allocates nothing per violation.
+// the first occurrence, so the order and the FixSets' alignment with
+// Violations are unchanged. Identity is the comparable ViolationKey; the
+// index of seen keys is an open-addressing table of (hash, position) slots,
+// 16 bytes each at a load of at most one half, and a hash match is
+// confirmed on the exact key of the kept violation. Deduping thus stores
+// no key and allocates one table per call, nothing per violation.
 func dedupeResult(r *DetectResult) {
-	seen := make(map[model.ViolationKey]bool, len(r.FixSets))
-	outV := r.Violations[:0]
-	outF := r.FixSets[:0]
-	for i, fs := range r.FixSets {
-		k := fs.Violation.MapKey()
-		if seen[k] {
+	n := len(r.FixSets)
+	if n < 2 {
+		return
+	}
+	type slot struct {
+		hash uint64
+		pos  int // 1 + index of the kept violation in r.FixSets; 0 = empty
+	}
+	slots := make([]slot, 1<<bits.Len(uint(2*n-1)))
+	mask := uint64(len(slots) - 1)
+	seed := maphash.MakeSeed()
+	kept := 0
+	for i := range r.FixSets {
+		k := r.FixSets[i].Violation.MapKey()
+		h := maphash.Comparable(seed, k)
+		dup := false
+		j := h & mask
+		for ; slots[j].pos != 0; j = (j + 1) & mask {
+			if s := slots[j]; s.hash == h && r.FixSets[s.pos-1].Violation.MapKey() == k {
+				dup = true
+				break
+			}
+		}
+		if dup {
 			continue
 		}
-		seen[k] = true
-		outV = append(outV, r.Violations[i])
-		outF = append(outF, fs)
+		slots[j] = slot{hash: h, pos: kept + 1}
+		r.Violations[kept] = r.Violations[i]
+		r.FixSets[kept] = r.FixSets[i]
+		kept++
 	}
-	r.Violations = outV
-	r.FixSets = outF
+	clear(r.Violations[kept:])
+	clear(r.FixSets[kept:])
+	r.Violations = r.Violations[:kept]
+	r.FixSets = r.FixSets[:kept]
 }
 
 // compilePlan runs a logical planner and the physical Planner under one

@@ -2,6 +2,7 @@ package core
 
 import (
 	"os"
+	"sync/atomic"
 	"testing"
 
 	"bigdansing/internal/datagen"
@@ -151,11 +152,10 @@ func TestCombinedRulesOutOfCoreMatchesUnbounded(t *testing.T) {
 func TestDetectPanicUnderBudgetCleansUp(t *testing.T) {
 	tr := datagen.TaxA(3000, 0.05, 4)
 	bad := fdRule()
-	calls := 0
+	var calls atomic.Int64 // Detect runs in parallel tasks
 	inner := bad.Detect
 	bad.Detect = func(it Item) []model.Violation {
-		calls++
-		if calls > 500 {
+		if calls.Add(1) > 500 {
 			panic("detect exploded")
 		}
 		return inner(it)

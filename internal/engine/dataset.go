@@ -127,8 +127,10 @@ func (d *Dataset[T]) force() error {
 		var out []T
 		if plan.bounded {
 			out = make([]T, 0, plan.src.partLen(tk.part))
+			plan.feed(tk.part, tk, func(t T) { out = append(out, t) })
+		} else {
+			out = collectChunked(func(emit func(T)) { plan.feed(tk.part, tk, emit) })
 		}
-		plan.feed(tk.part, tk, func(t T) { out = append(out, t) })
 		parts[tk.part] = out
 		tk.recordsOut = rowsOf(out)
 	})
@@ -140,6 +142,42 @@ func (d *Dataset[T]) force() error {
 	d.parts = parts
 	d.plan = nil
 	return nil
+}
+
+// outputChunk is the element count of one chunk an unbounded fused stage
+// collects its output in.
+const outputChunk = 4096
+
+// collectChunked gathers everything run emits, in order. The first
+// outputChunk elements grow one slice by append, so a small output is
+// returned as that slice, as before; a larger one fills fixed-size chunks
+// that are concatenated once, at exact size, each chunk dropped as soon as
+// it is copied. Large outputs thus never pay for append's repeated
+// regrow-and-copy, and the copy keeps no chunk reachable once it is done
+// with it.
+func collectChunked[T any](run func(emit func(T))) []T {
+	var (
+		cur    []T
+		chunks [][]T
+		total  int
+	)
+	run(func(t T) {
+		if len(cur) == outputChunk {
+			chunks = append(chunks, cur)
+			total += len(cur)
+			cur = make([]T, 0, outputChunk)
+		}
+		cur = append(cur, t)
+	})
+	if chunks == nil {
+		return cur
+	}
+	out := make([]T, 0, total+len(cur))
+	for i, c := range chunks {
+		out = append(out, c...)
+		chunks[i] = nil
+	}
+	return append(out, cur...)
 }
 
 // fail transitions to the failed state (caller holds d.mu).
@@ -344,6 +382,18 @@ func Map[T, U any](d *Dataset[T], f func(T) U) *Dataset[U] {
 // FlatMap records the application of f with concatenation of the results;
 // lazy and fusable like Map.
 func FlatMap[T, U any](d *Dataset[T], f func(T) []U) *Dataset[U] {
+	return FlatMapEmit(d, func(t T, emit func(U)) {
+		for _, u := range f(t) {
+			emit(u)
+		}
+	})
+}
+
+// FlatMapEmit is FlatMap for producers that generate their outputs one at
+// a time: f hands each output to emit, which pushes it straight through the
+// rest of the fused chain, so no per-input result slice is built. Lazy and
+// fusable like Map.
+func FlatMapEmit[T, U any](d *Dataset[T], f func(t T, emit func(U))) *Dataset[U] {
 	base := narrowBase(d)
 	if base.err != nil {
 		return errDataset[U](d.ctx, base.err)
@@ -351,12 +401,15 @@ func FlatMap[T, U any](d *Dataset[T], f func(T) []U) *Dataset[U] {
 	op := opLabel("FlatMap", base.ops)
 	feed := base.feed
 	return lazyFrom(d.ctx, base.src, appendOp(base.ops, "FlatMap"), false, func(p int, tk *taskCtx, emit func(U)) {
+		// One emit wrapper per task, not per input element.
+		emitOwn := func(u U) {
+			emit(u)
+			// Downstream operators relabel the task; f resumes here.
+			tk.op = op
+		}
 		feed(p, tk, func(t T) {
 			tk.op = op
-			us := f(t)
-			for _, u := range us {
-				emit(u)
-			}
+			f(t, emitOwn)
 		})
 	})
 }

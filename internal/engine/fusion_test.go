@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -291,5 +292,85 @@ func TestSnapshotAggregatesByName(t *testing.T) {
 	}
 	if snap.RecordsShuffled != 150 {
 		t.Fatalf("total shuffled = %d, want 150", snap.RecordsShuffled)
+	}
+}
+
+// TestFlatMapChunkedOutputOrder drives unbounded fused stages whose
+// partitions each emit more than three output chunks, through FlatMap and
+// FlatMapEmit, and checks that Collect returns every element in source
+// order, that Count agrees, and that the materialized partitions are the
+// per-partition slices of that order.
+func TestFlatMapChunkedOutputOrder(t *testing.T) {
+	const fan = 7 // outputs per input element
+	ctx := New(2)
+	n := 2 * (4*outputChunk/fan + 5) // 4 full chunks and a partial one per partition
+	src := Parallelize(ctx, ints(n), 2)
+	want := make([]int, 0, n*fan)
+	for v := range n {
+		for k := range fan {
+			want = append(want, v*fan+k)
+		}
+	}
+	chains := map[string]func() *Dataset[int]{
+		"FlatMap": func() *Dataset[int] {
+			return FlatMap(src, func(v int) []int {
+				out := make([]int, fan)
+				for k := range out {
+					out[k] = v*fan + k
+				}
+				return out
+			})
+		},
+		"FlatMapEmit": func() *Dataset[int] {
+			return FlatMapEmit(src, func(v int, emit func(int)) {
+				for k := range fan {
+					emit(v*fan + k)
+				}
+			})
+		},
+	}
+	for name, chain := range chains {
+		d := Map(chain(), func(v int) int { return v })
+		if got := d.NumPartitions(); got != 2 {
+			t.Fatalf("%s: %d partitions, want 2", name, got)
+		}
+		off := 0
+		for p := range 2 {
+			part := d.Partition(p)
+			if len(part) <= 3*outputChunk {
+				t.Fatalf("%s: partition %d holds %d elements, want more than 3 chunks", name, p, len(part))
+			}
+			if !slices.Equal(part, want[off:off+len(part)]) {
+				t.Fatalf("%s: partition %d out of order", name, p)
+			}
+			off += len(part)
+		}
+		got, err := d.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: Collect returned %d elements out of order (want %d)", name, len(got), len(want))
+		}
+		if c, err := chain().Count(); err != nil || c != len(want) {
+			t.Fatalf("%s: Count = %d, %v; want %d", name, c, err, len(want))
+		}
+	}
+}
+
+// TestFlatMapEmitPanicNamesOperator checks that a panic raised by a
+// FlatMapEmit producer after it has emitted (so after downstream operators
+// ran) is still attributed to the producer.
+func TestFlatMapEmitPanicNamesOperator(t *testing.T) {
+	ctx := New(2)
+	d := FlatMapEmit(Parallelize(ctx, ints(10), 2), func(v int, emit func(int)) {
+		emit(v)
+		if v == 7 {
+			panic("producer boom")
+		}
+	})
+	_, err := Map(d, func(v int) int { return v }).Collect()
+	if err == nil || !strings.Contains(err.Error(), "FlatMap#1") || !strings.Contains(err.Error(), "producer boom") {
+		t.Fatalf("error should name FlatMap#1 and carry the panic: %v", err)
 	}
 }

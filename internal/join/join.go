@@ -8,7 +8,9 @@ package join
 
 import (
 	"fmt"
+	"math"
 	mathbits "math/bits"
+	"slices"
 	"sort"
 
 	"bigdansing/internal/engine"
@@ -69,7 +71,10 @@ type partition struct {
 //	  view to bound candidates, then verify the remaining conditions.
 //
 // The output contains every ordered pair (t1, t2), t1 != t2, satisfying all
-// conditions, exactly once.
+// conditions, exactly once. Partitioning and sorting run before OCJoin
+// returns; the joining phase is a pending narrow stage, so the pairs are
+// produced (and their order fixed) by the action that consumes them, in the
+// same fused stage as any narrow operators applied to the result.
 func OCJoin(d *engine.Dataset[model.Tuple], conds []Cond, nbParts int) (*engine.Dataset[engine.PairOf[model.Tuple]], error) {
 	if len(conds) == 0 {
 		return nil, fmt.Errorf("join: OCJoin requires at least one condition")
@@ -94,15 +99,21 @@ func OCJoin(d *engine.Dataset[model.Tuple], conds []Cond, nbParts int) (*engine.
 
 	// --- Sorting phase: build per-partition sorted views and bounds.
 	// Collect every referenced column once.
-	cols := map[int]struct{}{}
+	var cols []int
 	for _, c := range conds {
-		cols[c.LeftCol] = struct{}{}
-		cols[c.RightCol] = struct{}{}
+		cols = append(cols, c.LeftCol, c.RightCol)
 	}
+	slices.Sort(cols)
+	cols = slices.Compact(cols)
 	nParts := ranged.NumPartitions()
 	parts := make([]*partition, 0, nParts)
+	// A NaN compares equal to every number, so it has no place in the total
+	// order the sorted views, bounds and binary searches rely on. Tuples
+	// with a NaN in a join column are set aside and joined pair by pair.
+	var odd []model.Tuple
 	for p := 0; p < nParts; p++ {
 		tuples := ranged.Partition(p)
+		tuples, odd = splitNaN(tuples, cols, odd)
 		if len(tuples) == 0 {
 			continue
 		}
@@ -118,12 +129,12 @@ func OCJoin(d *engine.Dataset[model.Tuple], conds []Cond, nbParts int) (*engine.
 				idx[i] = i
 			}
 			col := c.RightCol
-			sort.SliceStable(idx, func(a, b int) bool {
-				return model.Compare(tuples[idx[a]].Cell(col), tuples[idx[b]].Cell(col)) < 0
+			slices.SortStableFunc(idx, func(a, b int) int {
+				return model.Compare(tuples[a].Cell(col), tuples[b].Cell(col))
 			})
 			pt.sorted[j] = idx
 		}
-		for col := range cols {
+		for _, col := range cols {
 			lo, hi := tuples[0].Cell(col), tuples[0].Cell(col)
 			for _, t := range tuples[1:] {
 				v := t.Cell(col)
@@ -141,6 +152,7 @@ func OCJoin(d *engine.Dataset[model.Tuple], conds []Cond, nbParts int) (*engine.
 
 	// --- Pruning phase: enumerate ordered partition pairs (a, b) — the left
 	// tuple drawn from a, the right from b — keeping only feasible ones.
+	// A task with a < 0 joins the set-aside tuple odd[b] with everything.
 	type task struct{ a, b int }
 	var tasks []task
 	for a := range parts {
@@ -150,16 +162,72 @@ func OCJoin(d *engine.Dataset[model.Tuple], conds []Cond, nbParts int) (*engine.
 			}
 		}
 	}
-
-	// --- Joining phase: run the surviving pair joins in parallel.
-	taskDS := engine.Parallelize(d.Context(), tasks, 0)
-	out := engine.FlatMap(taskDS, func(tk task) []engine.PairOf[model.Tuple] {
-		return joinPair(parts[tk.a], parts[tk.b], conds)
-	})
-	if err := out.Err(); err != nil {
-		return nil, err
+	for i := range odd {
+		tasks = append(tasks, task{-1, i})
 	}
-	return out, nil
+
+	// --- Joining phase: the surviving pair joins run in parallel tasks.
+	// The phase stays lazy and streams each pair it finds, so the caller's
+	// narrow chain (Detect, GenFix) fuses into the join's stage and the pair
+	// list is never stored.
+	taskDS := engine.Parallelize(d.Context(), tasks, 0)
+	return engine.FlatMapEmit(taskDS, func(tk task, emit func(engine.PairOf[model.Tuple])) {
+		if tk.a < 0 {
+			joinOdd(tk.b, odd, parts, conds, emit)
+			return
+		}
+		joinPair(parts[tk.a], parts[tk.b], conds, emit)
+	}), nil
+}
+
+// splitNaN moves the tuples with a NaN in any of cols from ts to odd. It
+// returns ts itself when there is none, the common case.
+func splitNaN(ts []model.Tuple, cols []int, odd []model.Tuple) ([]model.Tuple, []model.Tuple) {
+	hasNaN := func(t model.Tuple) bool {
+		for _, col := range cols {
+			if v := t.Cell(col); v.Kind == model.KindFloat && math.IsNaN(v.Flt) {
+				return true
+			}
+		}
+		return false
+	}
+	if !slices.ContainsFunc(ts, hasNaN) {
+		return ts, odd
+	}
+	clean := make([]model.Tuple, 0, len(ts))
+	for _, t := range ts {
+		if hasNaN(t) {
+			odd = append(odd, t)
+		} else {
+			clean = append(clean, t)
+		}
+	}
+	return clean, odd
+}
+
+// joinOdd evaluates the conditions directly on every pair that has the
+// set-aside tuple odd[i] on one side: both orientations against each
+// partitioned tuple, and odd[i] as the left side against every set-aside
+// tuple (the other orientation belongs to that tuple's own task). Each such
+// pair is thus emitted exactly once over all joinOdd tasks.
+func joinOdd(i int, odd []model.Tuple, parts []*partition, conds []Cond, emit func(engine.PairOf[model.Tuple])) {
+	o := odd[i]
+	holds := func(l, r model.Tuple) bool { return l.ID != r.ID && holdsAll(conds, l, r) }
+	for _, pt := range parts {
+		for _, t := range pt.tuples {
+			if holds(o, t) {
+				emit(engine.PairOf[model.Tuple]{Left: o, Right: t})
+			}
+			if holds(t, o) {
+				emit(engine.PairOf[model.Tuple]{Left: t, Right: o})
+			}
+		}
+	}
+	for _, t := range odd {
+		if holds(o, t) {
+			emit(engine.PairOf[model.Tuple]{Left: o, Right: t})
+		}
+	}
 }
 
 // feasible reports whether any (l in a, r in b) could satisfy every
@@ -192,7 +260,7 @@ func feasible(a, b *partition, conds []Cond) bool {
 }
 
 // joinPair emits all ordered pairs (l in a, r in b), l != r, satisfying the
-// conditions.
+// conditions, one emit call per pair.
 //
 // With a single condition it walks a's tuples and narrows b's candidates
 // with a binary search over the view sorted on conds[0].RightCol — already
@@ -204,16 +272,16 @@ func feasible(a, b *partition, conds []Cond) bool {
 // inside the conds[1] rank range. The per-pair cost collapses to a word
 // scan, which is where OCJoin's two-orders-of-magnitude advantage over
 // cross products comes from (Figure 11(c)).
-func joinPair(a, b *partition, conds []Cond) []engine.PairOf[model.Tuple] {
+func joinPair(a, b *partition, conds []Cond, emit func(engine.PairOf[model.Tuple])) {
 	if len(conds) == 1 {
-		return joinPairSingle(a, b, conds)
+		joinPairSingle(a, b, conds, emit)
+		return
 	}
-	return joinPairSweep(a, b, conds)
+	joinPairSweep(a, b, conds, emit)
 }
 
 // joinPairSingle handles one condition via binary search on the sorted view.
-func joinPairSingle(a, b *partition, conds []Cond) []engine.PairOf[model.Tuple] {
-	var out []engine.PairOf[model.Tuple]
+func joinPairSingle(a, b *partition, conds []Cond, emit func(engine.PairOf[model.Tuple])) {
 	c0 := conds[0]
 	view := b.sorted[0]
 	cellAt := func(i int) model.Value { return b.tuples[view[i]].Cell(c0.RightCol) }
@@ -225,10 +293,9 @@ func joinPairSingle(a, b *partition, conds []Cond) []engine.PairOf[model.Tuple] 
 			if r.ID == l.ID {
 				continue
 			}
-			out = append(out, engine.PairOf[model.Tuple]{Left: l, Right: r})
+			emit(engine.PairOf[model.Tuple]{Left: l, Right: r})
 		}
 	}
-	return out
 }
 
 // rankRange computes the half-open index range [lo, hi) of a view sorted
@@ -249,7 +316,7 @@ func rankRange(op model.Op, lv model.Value, n int, cellAt func(int) model.Value)
 }
 
 // joinPairSweep handles two or more conditions with the bitset sweep.
-func joinPairSweep(a, b *partition, conds []Cond) []engine.PairOf[model.Tuple] {
+func joinPairSweep(a, b *partition, conds []Cond, emit func(engine.PairOf[model.Tuple])) {
 	c0, c1 := conds[0], conds[1]
 	rest := conds[2:]
 
@@ -270,12 +337,12 @@ func joinPairSweep(a, b *partition, conds []Cond) []engine.PairOf[model.Tuple] {
 		order[i] = i
 	}
 	asc := c0.Op == model.OpGT || c0.Op == model.OpGE
-	sort.SliceStable(order, func(i, j int) bool {
-		c := model.Compare(a.tuples[order[i]].Cell(c0.LeftCol), a.tuples[order[j]].Cell(c0.LeftCol))
+	slices.SortStableFunc(order, func(i, j int) int {
+		c := model.Compare(a.tuples[i].Cell(c0.LeftCol), a.tuples[j].Cell(c0.LeftCol))
 		if asc {
-			return c < 0
+			return c
 		}
-		return c > 0
+		return -c
 	})
 
 	// admissible reports whether right value rx is admissible for lx.
@@ -284,7 +351,6 @@ func joinPairSweep(a, b *partition, conds []Cond) []engine.PairOf[model.Tuple] {
 	bits := make([]uint64, (len(b.tuples)+63)/64)
 	set := func(rank int) { bits[rank>>6] |= 1 << uint(rank&63) }
 
-	var out []engine.PairOf[model.Tuple]
 	// Insertion pointer into BX: ascending for ">"-type, descending for
 	// "<"-type (larger right X first).
 	j := 0
@@ -311,18 +377,11 @@ func joinPairSweep(a, b *partition, conds []Cond) []engine.PairOf[model.Tuple] {
 		lo, hi := rankRange(c1.Op, l.Cell(c1.LeftCol), len(by), yAt)
 		emitSetBits(bits, lo, hi, func(rank int) {
 			r := b.tuples[by[rank]]
-			if r.ID == l.ID {
-				return
+			if r.ID != l.ID && holdsAll(rest, l, r) {
+				emit(engine.PairOf[model.Tuple]{Left: l, Right: r})
 			}
-			for _, c := range rest {
-				if !c.Eval(l, r) {
-					return
-				}
-			}
-			out = append(out, engine.PairOf[model.Tuple]{Left: l, Right: r})
 		})
 	}
-	return out
 }
 
 // emitSetBits visits every set bit with index in [lo, hi).
@@ -359,20 +418,20 @@ func NaiveInequalityJoin(tuples []model.Tuple, conds []Cond) []engine.PairOf[mod
 	var out []engine.PairOf[model.Tuple]
 	for _, l := range tuples {
 		for _, r := range tuples {
-			if l.ID == r.ID {
-				continue
-			}
-			ok := true
-			for _, c := range conds {
-				if !c.Eval(l, r) {
-					ok = false
-					break
-				}
-			}
-			if ok {
+			if l.ID != r.ID && holdsAll(conds, l, r) {
 				out = append(out, engine.PairOf[model.Tuple]{Left: l, Right: r})
 			}
 		}
 	}
 	return out
+}
+
+// holdsAll reports whether every condition holds for the ordered pair.
+func holdsAll(conds []Cond, l, r model.Tuple) bool {
+	for _, c := range conds {
+		if !c.Eval(l, r) {
+			return false
+		}
+	}
+	return true
 }

@@ -556,7 +556,9 @@ func dcGenFix(schema *model.Schema, res []resolvedPred, v model.Violation) []mod
 		}
 		return model.Cell{}, false
 	}
-	var fixes []model.Fix
+	// One allocation per violation at the final size: each predicate yields
+	// at most one fix.
+	fixes := make([]model.Fix, 0, len(res))
 	for _, r := range res {
 		neg := r.p.Op.Negate()
 		if r.p.RightIsConst {
@@ -575,6 +577,9 @@ func dcGenFix(schema *model.Schema, res []resolvedPred, v model.Violation) []mod
 		if lok && rok {
 			fixes = append(fixes, model.NewCellFix(lc, neg, rc))
 		}
+	}
+	if len(fixes) == 0 {
+		return nil
 	}
 	return fixes
 }
